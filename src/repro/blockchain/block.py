@@ -51,9 +51,8 @@ class BlockHeader:
         if self.view is not None and self.view < 0:
             raise ValidationError("view number must be non-negative")
 
-    @property
-    def block_hash(self) -> str:
-        """The hash identifying this block."""
+    def to_dict(self) -> dict[str, Any]:
+        """The hashed header fields (``view`` only when set)."""
         payload = {
             "height": self.height,
             "parent_hash": self.parent_hash,
@@ -65,7 +64,12 @@ class BlockHeader:
         }
         if self.view is not None:
             payload["view"] = self.view
-        return hash_payload(payload)
+        return payload
+
+    @property
+    def block_hash(self) -> str:
+        """The hash identifying this block."""
+        return hash_payload(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,14 @@ class Block:
     def height(self) -> int:
         """Block number."""
         return self.header.height
+
+    def to_dict(self) -> dict[str, Any]:
+        """The wire form: header, transactions and receipts as plain dicts."""
+        return {
+            "header": self.header.to_dict(),
+            "transactions": [tx.to_dict() for tx in self.transactions],
+            "receipts": [receipt.to_dict() for receipt in self.receipts],
+        }
 
     def tx_hashes(self) -> list[str]:
         """Hashes of the block's transactions, in order."""

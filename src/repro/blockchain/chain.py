@@ -7,7 +7,8 @@ A :class:`Blockchain` owns a :class:`~repro.blockchain.state.WorldState` and a
   state's O(Δ) write journal),
 * propose a block from a transaction list (leader role),
 * verify and append a block proposed by someone else by re-executing it
-  against its own state (miner role),
+  against its own state (miner role), or adopt the post-block state a clone
+  of itself already verified, so each replica executes a block once,
 * replay the whole chain from genesis to reconstruct the state — the
   transparency property audits rely on — and
 * serve *historical state views* (:meth:`Blockchain.state_at`) and the
@@ -280,6 +281,31 @@ class Blockchain:
         self.blocks.append(block)
         self.state.seal_version(block.height)
         self._persist_commit(block)
+
+    def adopt_verified(self, candidate: "Blockchain") -> Block | None:
+        """Commit the head block of ``candidate`` without executing it again.
+
+        ``candidate`` is a :meth:`clone` of this replica that has since
+        executed exactly one more block itself, through
+        :meth:`verify_and_append` (a miner's vote) or :meth:`propose_block`
+        (the leader's staging).  When this replica is still at that clone's
+        parent (same head, hence same height, and same pruning horizon), the
+        candidate's verified block, post-block state and nonces are adopted as
+        they are and the block is persisted, so the block is executed once per
+        replica.  Otherwise nothing changes and ``None`` is returned; the
+        caller then verifies the block in full.
+        """
+        block = candidate.head
+        if (
+            block.header.parent_hash != self.head.block_hash
+            or candidate.state.oldest_retained_version() != self.state.oldest_retained_version()
+        ):
+            return None
+        self.blocks.append(block)
+        self.state = candidate.state
+        self._nonces = candidate._nonces
+        self._persist_commit(block)
+        return block
 
     # ------------------------------------------------------------------
     # Validation and replay (transparency)

@@ -19,6 +19,8 @@ import threading
 from collections import defaultdict
 from typing import Any, Callable
 
+from repro.blockchain.block import Block
+from repro.blockchain.transaction import Transaction
 from repro.blockchain.transport import (
     DELIVERED,
     DROPPED,
@@ -289,6 +291,9 @@ class Network:
         return handler
 
     def _payload_size(self, payload: Any) -> int:
+        """Bytes a payload occupies on the wire: its canonical encoding."""
+        if isinstance(payload, (Transaction, Block)):
+            payload = payload.to_dict()
         try:
             return len(canonical_dumps(payload))
         except Exception:  # noqa: BLE001 - size accounting must never break delivery

@@ -3,7 +3,9 @@
 Every data owner in the paper's framework runs a miner.  A
 :class:`MinerNode` keeps its own chain replica and mempool, gossips
 transactions, proposes blocks when selected as leader, verifies other leaders'
-proposals by re-execution, and commits blocks that reach a majority.
+proposals by re-execution, and commits blocks that reach a majority.  A miner
+executes each block once: the state its vote (or its own proposal) verified is
+the state it commits.
 
 Under a fault-injecting transport the node additionally recovers from
 delivery failures: gossip is retried with exponential backoff, vote
@@ -63,6 +65,11 @@ class MinerNode:
         self.retry_backoff = retry_backoff
         #: Completed resyncs: {"peer", "from_height", "to_height", "blocks"}.
         self.resyncs: list[dict[str, Any]] = []
+        # The one verified candidate: a clone of ``chain`` that executed the
+        # last proposal this node voted for (or staged as leader).  Its head is
+        # keyed by (block hash, parent hash, height); ``commit_block`` adopts
+        # it when the committed block and the local head still match.
+        self._verified: Blockchain | None = None
         network.join(node_id)
         network.subscribe(node_id, TOPIC_TRANSACTIONS, self._on_transaction)
         network.subscribe(node_id, TOPIC_PROPOSAL, self._on_proposal)
@@ -101,11 +108,13 @@ class MinerNode:
             return {"vote": False, "error": "byzantine rejection"}
         if block.height > self.chain.height + 1:
             self.try_resync()
+        self._verified = None
         try:
-            # Verify against a throwaway copy of the local chain so the vote
-            # does not mutate local state before commit.
+            # Verify against a copy of the local chain so the vote does not
+            # mutate local state before commit; the copy is kept for the commit.
             probe = self.chain.clone()
             probe.verify_and_append(block)
+            self._verified = probe
             return {"vote": True, "error": ""}
         except Exception as exc:  # noqa: BLE001 - any failure is a rejection vote
             return {"vote": False, "error": str(exc)}
@@ -184,6 +193,7 @@ class MinerNode:
         txs = self.mempool.peek() if limit is None else self.mempool.peek()[:limit]
         staging = self.chain.clone()
         block = staging.propose_block(self.node_id, txs, view=view)
+        self._verified = staging
         return block
 
     def collect_votes(
@@ -225,9 +235,21 @@ class MinerNode:
         Also evicts mempool transactions the commit made stale (nonce already
         consumed) — a late-arriving duplicate of a committed transaction must
         not linger and surface in a later proposal.
+
+        A block this node already executed at vote (or proposal) time is not
+        executed again: the verified candidate's state is adopted when its
+        head has the committed block's hash and the local head is still its
+        parent.  The stored block is then the verified object, never the
+        commit frame.  Any other commit is verified in full.
         """
-        self.chain.verify_and_append(block)
-        self.mempool.remove([tx.tx_hash for tx in block.transactions])
+        candidate, self._verified = self._verified, None
+        adopted = None
+        if candidate is not None and candidate.head.block_hash == block.block_hash:
+            adopted = self.chain.adopt_verified(candidate)
+        if adopted is None:
+            self.chain.verify_and_append(block)
+            adopted = block
+        self.mempool.remove([tx.tx_hash for tx in adopted.transactions])
         self.evict_stale()
 
     def evict_stale(self) -> int:

@@ -73,25 +73,33 @@ class Transaction:
         message = canonical_dumps(self.body()).encode("utf-8")
         return hmac.new(_signing_key(self.sender), message, hashlib.sha256).hexdigest()
 
+    def to_dict(self) -> dict[str, Any]:
+        """The wire form: the signed body plus its signature."""
+        return {**self.body(), "signature": self.signature}
+
     @property
     def tx_hash(self) -> str:
         """Content hash identifying this transaction."""
-        return hash_payload({**self.body(), "signature": self.signature})
+        return hash_payload(self.to_dict())
 
     def verify_signature(self) -> bool:
         """Check the signature matches the body and claimed sender."""
         return hmac.compare_digest(self.signature, self._compute_signature())
 
     def validate(self) -> None:
-        """Raise :class:`InvalidTransactionError` if the transaction is malformed."""
-        if not self.verify_signature():
+        """Raise :class:`InvalidTransactionError` if the transaction is malformed.
+
+        The signature check encodes the body, arguments included, so an
+        argument that cannot be canonically serialized fails it here.
+        """
+        try:
+            signed = self.verify_signature()
+        except ValidationError as exc:
+            raise InvalidTransactionError(f"arguments are not serializable: {exc}") from exc
+        if not signed:
             raise InvalidTransactionError(
                 f"bad signature on transaction {self.tx_hash[:12]} from {self.sender}"
             )
-        try:
-            canonical_dumps(self.args)
-        except ValidationError as exc:
-            raise InvalidTransactionError(f"arguments are not serializable: {exc}") from exc
 
 
 @dataclass(frozen=True)

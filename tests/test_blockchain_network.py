@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.blockchain.block import Block
 from repro.blockchain.network import Network, NetworkStats
+from repro.blockchain.transaction import Transaction, TransactionReceipt
 from repro.exceptions import BlockchainError
+from repro.utils.serialization import canonical_dumps
 
 
 class TestMembership:
@@ -92,6 +96,35 @@ class TestStats:
         assert net.stats.messages_sent == 2
         assert net.stats.bytes_sent > 0
         assert net.stats.messages_by_topic["tx"] == 2
+
+    def test_gossiped_transaction_bytes_are_its_canonical_wire_size(self):
+        net = Network()
+        for node in ("a", "b", "c"):
+            net.join(node)
+            net.subscribe(node, "tx", lambda sender, payload: None)
+        tx = Transaction(
+            sender="a", contract="fl_training", method="submit",
+            args={"update": np.linspace(0.0, 1.0, 64)}, nonce=0,
+        )
+        net.broadcast("a", "tx", tx)
+        wire = len(canonical_dumps({**tx.body(), "signature": tx.signature}))
+        assert net.stats.bytes_by_topic["tx"] == 2 * wire
+
+    def test_block_bytes_are_its_canonical_wire_size(self):
+        net = Network()
+        for node in ("a", "b"):
+            net.join(node)
+            net.subscribe(node, "commit", lambda sender, payload: None)
+        tx = Transaction(sender="a", contract="c", method="m", args={"x": np.ones(8)}, nonce=0)
+        receipt = TransactionReceipt(tx_hash=tx.tx_hash, success=True, result=1.5)
+        block = Block.build(1, "0" * 64, "a", [tx], [receipt], state_root="1" * 64)
+        net.send("a", "b", "commit", block)
+        wire = canonical_dumps({
+            "header": block.header.to_dict(),
+            "transactions": [{**tx.body(), "signature": tx.signature}],
+            "receipts": [receipt.to_dict()],
+        })
+        assert net.stats.bytes_by_topic["commit"] == len(wire)
 
     def test_stats_as_dict(self):
         stats = NetworkStats()

@@ -81,6 +81,13 @@ class TestTransaction:
         with pytest.raises(ValidationError):
             make_tx(args={"bad": object()})
 
+    def test_signed_tx_with_unserializable_args_is_an_invalid_transaction(self):
+        # A transaction arriving already signed skips signing; validate must
+        # still reject it as a bad transaction, not a generic validation error.
+        forged = make_tx(args={"bad": object()}, signature="ab" * 32)
+        with pytest.raises(InvalidTransactionError, match="not serializable"):
+            forged.validate()
+
 
 class TestTransactionReceipt:
     def test_to_dict_shape(self):
